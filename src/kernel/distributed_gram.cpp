@@ -1,6 +1,7 @@
 #include "kernel/distributed_gram.hpp"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "mps/inner_product.hpp"
@@ -69,6 +70,15 @@ TileResult compute_tile(const std::vector<mps::Mps>& rows, Range rr,
   return t;
 }
 
+/// Folds each rank's stats into `stats` in rank order, not in the order
+/// ranks finish, so the floating-point averages and sums are the same on
+/// every run.
+void merge_in_rank_order(const std::vector<GramStats>& per_rank,
+                         GramStats* stats) {
+  if (stats == nullptr) return;
+  for (const GramStats& s : per_rank) stats->merge(s);
+}
+
 void assemble(RealMatrix& k, const TileResult& t, bool mirror) {
   for (idx i = t.r0; i < t.r1; ++i)
     for (idx j = t.c0; j < t.c1; ++j) {
@@ -105,7 +115,7 @@ RealMatrix no_messaging_gram(const QuantumKernelConfig& config,
 
   RealMatrix k(n, n);
   util::Mutex merge_mu;
-  GramStats merged;
+  std::vector<GramStats> per_rank(static_cast<std::size_t>(num_ranks));
 
   RankRuntime rt(num_ranks);
   rt.run([&](Comm& comm) {
@@ -131,17 +141,11 @@ RealMatrix no_messaging_gram(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(k, t, /*mirror=*/true);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
     }
+    per_rank[static_cast<std::size_t>(comm.rank())] = std::move(local);
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  merge_in_rank_order(per_rank, stats);
   return k;
 }
 
@@ -154,7 +158,7 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
 
   RealMatrix km(n, n);
   util::Mutex merge_mu;
-  GramStats merged;
+  std::vector<GramStats> per_rank(static_cast<std::size_t>(num_ranks));
 
   RankRuntime rt(num_ranks);
   rt.run([&](Comm& comm) {
@@ -202,17 +206,11 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(km, t, /*mirror=*/true);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
     }
+    per_rank[static_cast<std::size_t>(comm.rank())] = std::move(local);
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  merge_in_rank_order(per_rank, stats);
   return km;
 }
 
@@ -241,7 +239,7 @@ RealMatrix distributed_cross_kernel(const QuantumKernelConfig& config,
 
   RealMatrix km(nt, nr);
   util::Mutex merge_mu;
-  GramStats merged;
+  std::vector<GramStats> per_rank(static_cast<std::size_t>(num_ranks));
 
   RankRuntime rt(num_ranks);
   rt.run([&](Comm& comm) {
@@ -279,17 +277,11 @@ RealMatrix distributed_cross_kernel(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(km, t, /*mirror=*/false);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
     }
+    per_rank[static_cast<std::size_t>(comm.rank())] = std::move(local);
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  merge_in_rank_order(per_rank, stats);
   return km;
 }
 

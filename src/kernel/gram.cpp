@@ -25,6 +25,22 @@ std::vector<double> row_features(const RealMatrix& x, idx i) {
 
 }  // namespace
 
+void GramStats::merge(const GramStats& other) {
+  phases.merge(other.phases);
+  inner_products += other.inner_products;
+  total_discarded_weight += other.total_discarded_weight;
+  const idx total = circuits_simulated + other.circuits_simulated;
+  if (total > 0) {
+    // Written as a correction to this side's average, so merging into an
+    // empty record copies the other's averages exactly.
+    const double w =
+        static_cast<double>(other.circuits_simulated) / static_cast<double>(total);
+    avg_max_bond += (other.avg_max_bond - avg_max_bond) * w;
+    avg_mps_bytes += (other.avg_mps_bytes - avg_mps_bytes) * w;
+  }
+  circuits_simulated = total;
+}
+
 double max_abs_diff(const RealMatrix& a, const RealMatrix& b) {
   return max_abs_diff_impl(a, b);
 }
@@ -49,7 +65,7 @@ std::vector<mps::Mps> simulate_states(const QuantumKernelConfig& config,
 
   ThreadCpuTimer timer;
   double bond_sum = 0.0;
-  std::size_t bytes_sum = 0;
+  double bytes_sum = 0.0;
   double discarded = 0.0;
   for (idx i = 0; i < x.rows(); ++i) {
     const circuit::Circuit c =
@@ -58,16 +74,19 @@ std::vector<mps::Mps> simulate_states(const QuantumKernelConfig& config,
     // (Eq. 2), so simulation starts from |0...0>.
     mps::SimulationResult r = sim.simulate(c);
     bond_sum += static_cast<double>(r.state.max_bond());
-    bytes_sum += r.state.memory_bytes();
+    bytes_sum += static_cast<double>(r.state.memory_bytes());
     discarded += r.truncation.total_discarded_weight;
     states.push_back(std::move(r.state));
   }
   if (stats != nullptr) {
-    stats->phases.add("simulation", timer.seconds());
-    stats->circuits_simulated += x.rows();
-    stats->avg_max_bond = bond_sum / static_cast<double>(std::max<idx>(x.rows(), 1));
-    stats->avg_mps_bytes = bytes_sum / static_cast<std::size_t>(std::max<idx>(x.rows(), 1));
-    stats->total_discarded_weight += discarded;
+    const double n = static_cast<double>(std::max<idx>(x.rows(), 1));
+    GramStats batch;
+    batch.phases.add("simulation", timer.seconds());
+    batch.circuits_simulated = x.rows();
+    batch.avg_max_bond = bond_sum / n;
+    batch.avg_mps_bytes = bytes_sum / n;
+    batch.total_discarded_weight = discarded;
+    stats->merge(batch);
   }
   return states;
 }

@@ -24,8 +24,12 @@ struct GramStats {
   idx circuits_simulated = 0;
   idx inner_products = 0;
   double avg_max_bond = 0.0;          ///< Table I column
-  std::size_t avg_mps_bytes = 0;      ///< Table I column
+  double avg_mps_bytes = 0.0;         ///< Table I column
   double total_discarded_weight = 0.0;
+
+  /// Folds another record into this one: phases, counts and discarded
+  /// weight add; the two averages combine weighted by circuits_simulated.
+  void merge(const GramStats& other);
 };
 
 /// Simulates the feature-map circuit for each row of X (features on

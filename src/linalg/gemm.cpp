@@ -12,15 +12,7 @@ constexpr idx kBlock = 48;
 /// allocating entry points and gemm_into share one arithmetic path.
 void gemm_reference_core(Matrix& c, const Matrix& a, const Matrix& b) {
   const idx m = a.rows(), k = a.cols(), n = b.cols();
-  for (idx i = 0; i < m; ++i) {
-    cplx* ci = c.row(i);
-    const cplx* ai = a.row(i);
-    for (idx p = 0; p < k; ++p) {
-      const cplx aip = ai[p];
-      const cplx* bp = b.row(p);
-      for (idx j = 0; j < n; ++j) ci[j] += aip * bp[j];
-    }
-  }
+  gemm_accumulate(c.data(), n, a.data(), k, b.data(), n, m, k, n);
 }
 
 void gemm_blocked_core(Matrix& c, const Matrix& a, const Matrix& b,
@@ -44,15 +36,8 @@ void gemm_blocked_core(Matrix& c, const Matrix& a, const Matrix& b,
         const idx p1 = std::min(p0 + kBlock, k);
         for (idx j0 = 0; j0 < n; j0 += kBlock) {
           const idx j1 = std::min(j0 + kBlock, n);
-          for (idx i = i0; i < i1; ++i) {
-            cplx* ci = c.row(i);
-            const cplx* ai = a.row(i);
-            for (idx p = p0; p < p1; ++p) {
-              const cplx aip = ai[p];
-              const cplx* bp = b.row(p);
-              for (idx j = j0; j < j1; ++j) ci[j] += aip * bp[j];
-            }
-          }
+          gemm_accumulate(c.row(i0) + j0, n, a.row(i0) + p0, k,
+                          b.row(p0) + j0, n, i1 - i0, p1 - p0, j1 - j0);
         }
       }
     }
@@ -60,6 +45,19 @@ void gemm_blocked_core(Matrix& c, const Matrix& a, const Matrix& b,
 }
 
 }  // namespace
+
+void gemm_accumulate(cplx* c, idx ldc, const cplx* a, idx lda,
+                     const cplx* b, idx ldb, idx m, idx k, idx n) {
+  for (idx i = 0; i < m; ++i) {
+    cplx* ci = c + i * ldc;
+    const cplx* ai = a + i * lda;
+    for (idx p = 0; p < k; ++p) {
+      const cplx aip = ai[p];
+      const cplx* bp = b + p * ldb;
+      for (idx j = 0; j < n; ++j) ci[j] += aip * bp[j];
+    }
+  }
+}
 
 Matrix gemm_reference(const Matrix& a, const Matrix& b) {
   QKMPS_CHECK(a.cols() == b.rows());
@@ -89,17 +87,10 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b,
   gemm_blocked_core(c, a, b, parallel);
 }
 
-Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy, Op op_a,
-            Op op_b) {
-  // Op::None operands feed the kernels in place; only ConjT pays an
-  // explicit transpose copy (strided kernels for every op combination are
-  // not worth it at bond-dimension sizes).
-  Matrix at, bt;
-  const Matrix& am = op_a == Op::None ? a : (at = a.adjoint());
-  const Matrix& bm = op_b == Op::None ? b : (bt = b.adjoint());
-  if (policy == ExecPolicy::Reference) return gemm_reference(am, bm);
-  const bool parallel = am.rows() * bm.cols() >= kParallelGemmThreshold;
-  return gemm_blocked(am, bm, parallel);
+Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy) {
+  if (policy == ExecPolicy::Reference) return gemm_reference(a, b);
+  const bool parallel = a.rows() * b.cols() >= kParallelGemmThreshold;
+  return gemm_blocked(a, b, parallel);
 }
 
 Matrix gemv(const Matrix& a, const Matrix& x) {

@@ -5,25 +5,27 @@
 
 namespace qkmps::linalg {
 
-/// How an operand enters the product.
-enum class Op {
-  None,     ///< A as stored
-  ConjT,    ///< conjugate transpose A^H
-};
-
-/// C = op(A) * op(B). Dispatches on `policy`:
+/// C = A * B. Dispatches on `policy`:
 ///  - Reference: straightforward i-k-j loop (cache-friendly for row-major,
 ///    serial) — the low-overhead path.
 ///  - Accelerated: tiled kernel, OpenMP-parallel over row blocks once the
 ///    output is large enough (kParallelGemmThreshold).
-Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy,
-            Op op_a = Op::None, Op op_b = Op::None);
+Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy);
 
 /// C = A * B into a caller-owned output (resized in place, so repeated
 /// calls on a persistent C reuse its heap block — the batched kernel
 /// layer's no-churn path). C must not alias A or B. Arithmetic is
 /// identical to gemm(): the two entry points are bitwise-interchangeable.
 void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ExecPolicy policy);
+
+/// C += A * B on raw row-major storage: A is m x k, B is k x n, C is
+/// m x n, and consecutive rows sit lda/ldb/ldc entries apart. Each entry
+/// of C adds its k terms in ascending order. This is the one loop that
+/// gemm_reference and every tile of gemm_blocked run; it is exposed for
+/// callers whose operands are not Matrix objects (the MPS zipper reads
+/// site tensors in place).
+void gemm_accumulate(cplx* c, idx ldc, const cplx* a, idx lda,
+                     const cplx* b, idx ldb, idx m, idx k, idx n);
 
 /// y = A * x for a dense vector stored as an n x 1 Matrix column; serial.
 Matrix gemv(const Matrix& a, const Matrix& x);

@@ -11,8 +11,7 @@ namespace {
 
 double unitarity_defect(const linalg::Matrix& u) {
   const linalg::Matrix g =
-      linalg::gemm(u, u, linalg::ExecPolicy::Reference, linalg::Op::ConjT,
-                   linalg::Op::None);
+      linalg::gemm(u.adjoint(), u, linalg::ExecPolicy::Reference);
   linalg::Matrix eye = linalg::Matrix::identity(u.cols());
   return linalg::max_abs_diff(g, eye);
 }

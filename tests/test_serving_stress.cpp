@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -18,7 +19,10 @@
 
 #include "data/elliptic_synthetic.hpp"
 #include "kernel/gram.hpp"
+#include "mps/inner_product.hpp"
+#include "mps/simulator.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/feature_key.hpp"
 #include "serve/lru_map.hpp"
 #include "serve/rank_sharded_engine.hpp"
@@ -456,6 +460,49 @@ TEST(ServingStress, FetchMaxConvergesUnderContention) {
 
   EXPECT_EQ(high_water.load(),
             (kPerThread - 1) * kThreads + (kThreads - 1));
+}
+
+/// The zipper keeps its scratch in a thread_local workspace. Pool lanes
+/// contracting the same pairs at once, over states of different bond
+/// profiles (so each lane's workspace keeps reshaping), must get exactly
+/// the bits a single thread gets — and TSan must see no sharing.
+TEST(ServingStress, ConcurrentOverlapsMatchSerialBits) {
+  std::vector<mps::Mps> states;
+  for (const idx d : {idx{1}, idx{2}, idx{3}}) {
+    const circuit::AnsatzParams p{.num_features = 10, .layers = 2,
+                                  .distance = d, .gamma = 0.8};
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+      Rng rng(seed + 10 * static_cast<std::uint64_t>(d));
+      states.push_back(mps::MpsSimulator()
+                           .simulate(circuit::feature_map_circuit(
+                               p, qkmps::testing::random_features(10, rng)))
+                           .state);
+    }
+  }
+  const std::size_t n = states.size();
+  const auto policy_of = [](std::size_t k) {
+    return k % 2 == 0 ? linalg::ExecPolicy::Reference
+                      : linalg::ExecPolicy::Accelerated;
+  };
+  // Task k contracts pair (k / n) % n, k % n under policy_of(k / (n * n)).
+  const std::size_t tasks = 2 * n * n;
+  std::vector<cplx> serial(tasks);
+  for (std::size_t k = 0; k < tasks; ++k)
+    serial[k] = mps::inner_product(states[(k / n) % n], states[k % n],
+                                   policy_of(k / (n * n)));
+
+  parallel::ThreadPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<cplx> got(tasks);
+    pool.parallel_for(tasks, [&](std::size_t k) {
+      linalg::KernelThreadScope serial_kernels(1);  // as in an engine lane
+      got[k] = mps::inner_product(states[(k / n) % n], states[k % n],
+                                  policy_of(k / (n * n)));
+    });
+    for (std::size_t k = 0; k < tasks; ++k)
+      EXPECT_EQ(std::memcmp(&got[k], &serial[k], sizeof(cplx)), 0)
+          << "round " << round << " task " << k;
+  }
 }
 
 }  // namespace
